@@ -71,24 +71,11 @@ func main() {
 		return
 	}
 
-	mc := mem.DefaultConfig()
-	mc.L2Size = *l2
-	mc.MemLatency = *memLat
-	var l2Set, memLatSet bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "l2":
-			l2Set = true
-		case "memlat":
-			memLatSet = true
-		}
-	})
-
 	// Assemble the RunSpec for the selected architecture.
 	var spec sim.RunSpec
 	switch name := strings.ToLower(*arch); name {
 	case "limit":
-		spec = sim.LimitSpec(*window, mc, *bench, *warmup, *n)
+		spec = sim.LimitSpec(*window, mem.DefaultConfig(), *bench, *warmup, *n)
 	case "dkip":
 		spec = sim.MustPresetSpec("dkip", *bench, *warmup, *n)
 		spec.DKIP.CPInOrder = *cpPol == "ino"
@@ -96,7 +83,6 @@ func main() {
 		spec.DKIP.CPIQSize = *cpq
 		spec.DKIP.MPIQSize = *mpq
 		spec.DKIP.LLIBSize = *llib
-		spec.DKIP.Mem = mc
 	default:
 		s, err := sim.PresetSpec(name, *bench, *warmup, *n)
 		if err != nil {
@@ -110,24 +96,18 @@ func main() {
 			s = sim.RunSpec{Arch: a, Bench: *bench, Warmup: *warmup, Measure: *n}
 		}
 		spec = s
-		switch spec.Arch {
-		case sim.ArchOOO:
-			spec.OOO.Mem = mc
-		case sim.ArchDKIP:
-			spec.DKIP.Mem = mc
-		case sim.ArchInorder:
-			// The in-order preset's memory system (the SG2042 socket) is
-			// part of the machine: override only what was explicitly
-			// flagged.
-			spec.Inorder.Mem = spec.Inorder.Mem.WithDefaults()
-			if l2Set {
-				spec.Inorder.Mem.L2Size = *l2
-			}
-			if memLatSet {
-				spec.Inorder.Mem.MemLatency = *memLat
-			}
-		}
 	}
+	// A machine's memory system is part of it (the in-order preset models
+	// the SG2042 socket): override only what was explicitly flagged.
+	mc := spec.Mem()
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "l2":
+			mc.L2Size = *l2
+		case "memlat":
+			mc.MemLatency = *memLat
+		}
+	})
 
 	var res *sim.Result
 	if *traceFile != "" {

@@ -23,9 +23,11 @@ package core
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
+	"dkip/internal/sample"
 )
 
 // Config describes one D-KIP instance. The zero value of most fields selects
@@ -139,7 +141,12 @@ type Config struct {
 	NewPredictor func() predictor.Predictor `json:"-"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// hierarchy's included, replaced by the paper's default. core.New applies it
+// implicitly; internal/sim applies it before hashing so that a zero Config
+// and an explicitly spelled-out default Config describe (and memoize as) the
+// same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -178,6 +185,7 @@ func (c Config) withDefaults() Config {
 	if c.Mem.L1Latency == 0 {
 		c.Mem = mem.DefaultConfig()
 	}
+	c.Mem = c.Mem.WithDefaults()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewPerceptron(4096, 24)
@@ -188,12 +196,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WithDefaults returns the configuration with every zero field replaced by
-// the paper's default. core.New applies it implicitly; internal/sim applies
-// it before hashing so that a zero Config and an explicitly spelled-out
-// default Config describe (and memoize as) the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -210,6 +212,44 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// InFlight is the machine's in-flight instruction capacity, the sampling
+// window: the larger of the LLIB and the Aging-ROB.
+func (c Config) InFlight() uint64 {
+	w := uint64(c.LLIBSize)
+	if r := uint64(c.ROBSize); r > w {
+		w = r
+	}
+	return w
+}
+
+// Params returns the engine parameters of a defaulted configuration.
+func (c Config) Params() engine.Params {
+	fqCap := c.FetchWidth * (c.FrontEndDepth + 2)
+	return engine.Params{
+		Family:          "core",
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		FetchQueueCap:   fqCap,
+		// The window must span the seq range between the oldest live
+		// low-locality instruction and rename; give it ample slack beyond
+		// the structural occupancy bound (rename interlocks on the
+		// horizon).
+		WindowCap:      c.ROBSize + 2*c.LLIBSize + 2*c.MPIQSize + fqCap + 8192,
+		Mem:            c.Mem,
+		NewPredictor:   c.NewPredictor,
+		WithConfidence: true,
+	}
+}
+
+// NewEngine builds the machine behind the shared engine interface.
+func (c Config) NewEngine() sample.Engine { return New(c) }
+
 // Bool is a helper for the MPInOrder pointer field.
 func Bool(v bool) *bool { return &v }
 
@@ -217,5 +257,5 @@ func Bool(v bool) *bool { return &v }
 // parameters with Table 3's defaults (40-entry out-of-order CP queues,
 // 20-entry in-order MPs, 2048-entry LLIBs, 512KB L2, 400-cycle memory).
 func DefaultConfig() Config {
-	return Config{Name: "DKIP-2048"}.withDefaults()
+	return Config{Name: "DKIP-2048"}.WithDefaults()
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
@@ -42,7 +41,7 @@ func TestFigure9Orderings(t *testing.T) {
 	}
 	r64 := ooo.R10K64()
 	r256 := ooo.R10K256()
-	k := kilo.Config1024()
+	k := ooo.KILO1024()
 	d := Config{}
 
 	dkipFP := archIPC(t, workload.SpecFP, &d, nil)
@@ -88,7 +87,7 @@ func TestChasePrefersSLIQ(t *testing.T) {
 		t.Skip("integration")
 	}
 	g := workload.MustNew("mcf")
-	pk := ooo.New(kilo.Config1024())
+	pk := ooo.New(ooo.KILO1024())
 	pk.Hierarchy().Warm(g.WarmRanges())
 	kiloIPC := pk.Run(g, 8000, 30000).IPC()
 

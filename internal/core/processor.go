@@ -59,32 +59,12 @@ type Processor struct {
 
 // New builds a D-KIP. It panics on invalid configuration.
 func New(cfg Config) *Processor {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	fqCap := cfg.FetchWidth * (cfg.FrontEndDepth + 2)
-	// The window must span the seq range between the oldest live
-	// low-locality instruction and rename; give it ample slack beyond the
-	// structural occupancy bound (rename interlocks on the horizon).
-	winCap := cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + fqCap + 8192
 	p := &Processor{cfg: cfg}
-	p.Init(engine.Params{
-		Family:          "core",
-		Name:            cfg.Name,
-		FetchWidth:      cfg.FetchWidth,
-		RenameWidth:     cfg.RenameWidth,
-		FrontEndDepth:   cfg.FrontEndDepth,
-		RedirectPenalty: cfg.RedirectPenalty,
-		LSQSize:         cfg.LSQSize,
-		MemPorts:        cfg.MemPorts,
-		MSHRs:           cfg.MSHRs,
-		FetchQueueCap:   fqCap,
-		WindowCap:       winCap,
-		Mem:             cfg.Mem,
-		NewPredictor:    cfg.NewPredictor,
-		WithConfidence:  true,
-	}, p)
+	p.Init(cfg.Params(), p)
 	p.cpInt = pipeline.NewIssueQueue(pipeline.QInt, cfg.CPIQSize, cfg.CPInOrder, p.Win)
 	p.cpFP = pipeline.NewIssueQueue(pipeline.QFP, cfg.CPIQSize, cfg.CPInOrder, p.Win)
 	p.cpFU = pipeline.NewFUPool(cfg.CPFU)
@@ -96,7 +76,7 @@ func New(cfg Config) *Processor {
 	p.mpFP = pipeline.NewIssueQueue(pipeline.QMPFP, cfg.MPIQSize, *cfg.MPInOrder, p.Win)
 	p.mpFUI = pipeline.NewFUPool(cfg.MPFU)
 	p.mpFUF = pipeline.NewFUPool(cfg.MPFU)
-	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + fqCap + 64
+	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + p.P.FetchQueueCap + 64
 	return p
 }
 
@@ -244,12 +224,6 @@ func (p *Processor) Wake(d *pipeline.DynInst) {
 		p.mpFP.Wake(d.Seq)
 	}
 }
-
-// IssueExtraLatency charges no issue surcharge: LLIB extraction delays are
-// modeled at the FIFO, not at issue.
-//
-//dkip:hotpath
-func (p *Processor) IssueExtraLatency(d *pipeline.DynInst) int64 { return 0 }
 
 // classification is the Analyze stage's verdict on one instruction.
 type classification uint8
@@ -627,26 +601,6 @@ func (p *Processor) RenameQueue(fp bool) *pipeline.IssueQueue {
 //dkip:hotpath
 func (p *Processor) AllocHint(seq uint64) int {
 	return int(seq - p.horizon)
-}
-
-// OnRename has no model occupancy to record: the Aging-ROB count derives
-// from the analyze/rename sequence spread.
-//
-//dkip:hotpath
-func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {}
-
-// FetchNext supplies instructions straight from the trace.
-//
-//dkip:hotpath
-func (p *Processor) FetchNext(g trace.Generator) isa.Instr { return g.Next() }
-
-// OnFetchBranch consults and trains the JRS confidence estimator.
-//
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool {
-	lowConf := !p.Conf.High(in.PC)
-	p.Conf.Update(in.PC, !mispred)
-	return lowConf
 }
 
 // OnBeginMeasure re-bases the LLIB/LLRF high-water marks: they are reported

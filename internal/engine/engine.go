@@ -440,7 +440,8 @@ func (e *Engine) renameStage() {
 	}
 }
 
-// fetchStage supplies instructions from the trace, predicting branches. A
+// fetchStage supplies instructions from the trace, predicting branches and,
+// when the family has a confidence estimator, consulting and training it. A
 // detected misprediction halts correct-path supply until the branch
 // resolves.
 //
@@ -462,7 +463,10 @@ func (e *Engine) fetchStage(g trace.Generator) {
 			pred := e.BP.Predict(in.PC)
 			e.BP.Update(in.PC, in.Taken)
 			fe.Mispred = pred != in.Taken
-			fe.LowConf = e.model.OnFetchBranch(in, fe.Mispred)
+			if e.Conf != nil {
+				fe.LowConf = !e.Conf.High(in.PC)
+				e.Conf.Update(in.PC, !fe.Mispred)
+			}
 		}
 		tail := e.FQHead + e.FQLen
 		if tail >= len(e.FQ) {

@@ -21,11 +21,16 @@ const (
 )
 
 // Model is the architecture-specific half of a processor. The Engine owns
-// the cycle loop, the front end (fetch queue, branch predictor), rename
-// bookkeeping (window allocation, producer links, scoreboard), the
-// completion event queue, statistics windows, and functional-warm /
-// checkpoint plumbing. A Model contributes the machine's structure hazards
-// and its issue/commit topology through these hooks.
+// the cycle loop, the front end (fetch queue, branch predictor, confidence
+// estimator), rename bookkeeping (window allocation, producer links,
+// scoreboard), the completion event queue, statistics windows, and
+// functional-warm / checkpoint plumbing. A Model contributes the machine's
+// structure hazards and its issue/commit topology through these hooks.
+//
+// Eight hooks are required: BeginCycle, Stages, RenameAdmit, RenameQueue,
+// AllocHint, OnComplete, Wake and BudgetMessage. The other eight have no-op
+// defaults on *Engine (defaults.go), promoted into every model that embeds
+// it, so a model declares only the hooks it gives real behaviour.
 //
 // Every hook that runs on the per-cycle path must carry //dkip:hotpath in
 // its implementation: the engine dispatches through this interface, which
@@ -41,11 +46,12 @@ type Model interface {
 	// engine runs rename and fetch afterwards.
 	Stages(g trace.Generator)
 	// EndCycle runs after fetch, immediately before the clock advances
-	// (checkpoint-stack reconciliation, runahead episodes).
+	// (checkpoint-stack reconciliation, runahead episodes). Defaulted.
 	EndCycle(g trace.Generator)
 	// ConsiderWake reports additional cycles at which the machine can make
 	// progress while idle (e.g. an aging-timer deadline). The engine has
 	// already considered the event queue, fetch buffer, and redirect.
+	// Defaulted.
 	ConsiderWake(w *WakeScan)
 
 	// RenameAdmit reports whether one more instruction may enter the
@@ -60,15 +66,12 @@ type Model interface {
 	// (Engine.RenameSeq has already been advanced past it).
 	AllocHint(seq uint64) int
 	// OnRename records model occupancy for a just-renamed instruction
-	// after it was inserted into q (ROB counters, age rings).
+	// after it was inserted into q (ROB counters, age rings). Defaulted.
 	OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue)
 
 	// FetchNext supplies the next instruction (runahead models interpose a
-	// replay buffer here).
+	// replay buffer here). Defaulted to the generator's next instruction.
 	FetchNext(g trace.Generator) isa.Instr
-	// OnFetchBranch observes a fetched branch after prediction and reports
-	// whether it was predicted with low confidence.
-	OnFetchBranch(in isa.Instr, mispred bool) bool
 
 	// OnComplete applies model bookkeeping when execution of d finishes:
 	// MSHR/LSQ release, scoreboard completion, out-of-order commit. Runs
@@ -76,18 +79,20 @@ type Model interface {
 	OnComplete(d *pipeline.DynInst)
 	// RecoveryExtra returns the redirect-penalty surcharge for a resolved
 	// misprediction (checkpoint restore, replay) and performs any recovery
-	// side effects. Called only for mispredicted instructions.
+	// side effects. Called only for mispredicted instructions. Defaulted
+	// to no surcharge.
 	RecoveryExtra(d *pipeline.DynInst) int64
 	// Wake routes a now-ready instruction's wakeup to the queue holding it.
 	Wake(d *pipeline.DynInst)
 	// IssueExtraLatency returns extra execution latency charged at issue
-	// (slow-lane re-dispatch delay).
+	// (slow-lane re-dispatch delay). Defaulted to none.
 	IssueExtraLatency(d *pipeline.DynInst) int64
 
 	// OnBeginMeasure resets model-owned high-water statistics when the
-	// measurement window opens.
+	// measurement window opens. Defaulted.
 	OnBeginMeasure()
 	// FinishStats copies model-owned statistics into the result.
+	// Defaulted.
 	FinishStats(st *pipeline.Stats)
 	// BudgetMessage builds the cycle-budget panic message. Only called on
 	// the failure path; it may allocate.

@@ -18,8 +18,8 @@ func AblationAnalyze(r sim.Backend, s Scale) *Table {
 	ideal := core.Config{Name: "ideal-analyze", IdealAnalyze: true}
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runDKIP("base/"+b, b, core.Config{}, s))
-		jobs = append(jobs, runDKIP("ideal/"+b, b, ideal, s))
+		jobs = append(jobs, run("base/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("ideal/"+b, sim.DKIPSpec(b, ideal, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -42,7 +42,7 @@ func AblationAgingTimer(r sim.Backend, s Scale) *Table {
 	for _, timer := range timers {
 		cfg := core.Config{Name: fmt.Sprintf("t%d", timer), ROBTimer: timer}
 		for _, b := range workload.SuiteNames(workload.SpecFP) {
-			jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+			jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 		}
 	}
 	res := runAll(r, jobs)
@@ -66,7 +66,7 @@ func AblationLLIBSize(r sim.Backend, s Scale) *Table {
 	for _, size := range sizes {
 		cfg := core.Config{Name: fmt.Sprintf("llib%d", size), LLIBSize: size}
 		for _, b := range workload.Names() {
-			jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+			jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 		}
 	}
 	res := runAll(r, jobs)
@@ -88,8 +88,8 @@ func AblationLLRF(r sim.Backend, s Scale) *Table {
 	ideal := core.Config{Name: "ideal-llrf", IdealLLRF: true}
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runDKIP("base/"+b, b, core.Config{}, s))
-		jobs = append(jobs, runDKIP("ideal/"+b, b, ideal, s))
+		jobs = append(jobs, run("base/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("ideal/"+b, sim.DKIPSpec(b, ideal, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -118,12 +118,12 @@ func AblationLLRF(r sim.Backend, s Scale) *Table {
 func AblationRunahead(r sim.Backend, s Scale) *Table {
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runOOO("R10-64/"+b, b, ooo.R10K64(), s))
+		jobs = append(jobs, run("R10-64/"+b, sim.OOOSpec(b, ooo.R10K64(), s.Warmup, s.Measure), s))
 		withRA := ooo.R10K64()
 		withRA.Name = "R10-64+RA"
 		withRA.RunaheadDepth = 256
-		jobs = append(jobs, runOOO("R10-64+RA/"+b, b, withRA, s))
-		jobs = append(jobs, runDKIP("DKIP/"+b, b, core.Config{}, s))
+		jobs = append(jobs, run("R10-64+RA/"+b, sim.OOOSpec(b, withRA, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("DKIP/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -147,8 +147,8 @@ func AblationCheckpoint(r sim.Backend, s Scale) *Table {
 	lowconf := core.Config{Name: "lowconf", ReplayRecovery: true, CheckpointOnLowConf: true}
 	var jobs []job
 	for _, b := range workload.SuiteNames(workload.SpecINT) {
-		jobs = append(jobs, runDKIP("stride/"+b, b, stride, s))
-		jobs = append(jobs, runDKIP("lowconf/"+b, b, lowconf, s))
+		jobs = append(jobs, run("stride/"+b, sim.DKIPSpec(b, stride, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("lowconf/"+b, sim.DKIPSpec(b, lowconf, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -182,10 +182,10 @@ func AblationPrefetch(r sim.Backend, s Scale) *Table {
 
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runOOO("R10-64/"+b, b, r64, s))
-		jobs = append(jobs, runOOO("R10-64+PF4/"+b, b, r64pf, s))
-		jobs = append(jobs, runDKIP("DKIP/"+b, b, dk, s))
-		jobs = append(jobs, runDKIP("DKIP+PF4/"+b, b, dkpf, s))
+		jobs = append(jobs, run("R10-64/"+b, sim.OOOSpec(b, r64, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("R10-64+PF4/"+b, sim.OOOSpec(b, r64pf, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("DKIP/"+b, sim.DKIPSpec(b, dk, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("DKIP+PF4/"+b, sim.DKIPSpec(b, dkpf, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -217,7 +217,7 @@ func AblationMSHR(r sim.Backend, s Scale) *Table {
 	for _, n := range counts {
 		cfg := core.Config{Name: "mshr-" + label(n), MSHRs: n}
 		for _, b := range workload.SuiteNames(workload.SpecFP) {
-			jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+			jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 		}
 	}
 	res := runAll(r, jobs)
@@ -240,8 +240,8 @@ func AblationSingleLLIB(r sim.Backend, s Scale) *Table {
 	single := core.Config{Name: "single", SingleLLIB: true}
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runDKIP("dual/"+b, b, core.Config{}, s))
-		jobs = append(jobs, runDKIP("single/"+b, b, single, s))
+		jobs = append(jobs, run("dual/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("single/"+b, sim.DKIPSpec(b, single, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 

@@ -42,7 +42,7 @@ func differentialJobs() []job {
 		for _, mp := range mpPoints {
 			cfg := dkipSched(cp, mp)
 			for _, b := range []string{"swim", "applu"} {
-				jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+				jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 			}
 		}
 	}

@@ -10,9 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"dkip/internal/core"
-	"dkip/internal/inorder"
-	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
 	"dkip/internal/sample"
 	"dkip/internal/sim"
@@ -264,31 +261,13 @@ func runAllResults(r sim.Backend, jobs []job) map[string]*sim.Result {
 	return out
 }
 
-// runOOO builds a job simulating an out-of-order (or KILO) configuration.
-func runOOO(key, bench string, cfg ooo.Config, s Scale) job {
-	j := job{key: key, spec: sim.OOOSpec(bench, cfg, s.Warmup, s.Measure)}
+// run builds a job simulating spec, sampled under the scale's plan when it
+// has one.
+func run(key string, spec sim.RunSpec, s Scale) job {
 	if s.Sample != nil {
-		j.spec.Sample = *s.Sample
+		spec.Sample = *s.Sample
 	}
-	return j
-}
-
-// runDKIP builds a job simulating a D-KIP configuration.
-func runDKIP(key, bench string, cfg core.Config, s Scale) job {
-	j := job{key: key, spec: sim.DKIPSpec(bench, cfg, s.Warmup, s.Measure)}
-	if s.Sample != nil {
-		j.spec.Sample = *s.Sample
-	}
-	return j
-}
-
-// runInorder builds a job simulating an in-order (C920-class) configuration.
-func runInorder(key, bench string, cfg inorder.Config, s Scale) job {
-	j := job{key: key, spec: sim.InorderSpec(bench, cfg, s.Warmup, s.Measure)}
-	if s.Sample != nil {
-		j.spec.Sample = *s.Sample
-	}
-	return j
+	return job{key: key, spec: spec}
 }
 
 // suiteMean averages IPC over a suite from keyed results; key is

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dkip/internal/core"
-	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
@@ -25,7 +24,7 @@ func windowSweep(r sim.Backend, suite workload.Suite, s Scale) *Table {
 		for _, w := range WindowSizes {
 			prefix := fmt.Sprintf("%s/%d", mc.Name, w)
 			for _, b := range workload.SuiteNames(suite) {
-				jobs = append(jobs, runOOO(prefix+"/"+b, b, ooo.LimitCore(w, mc), s))
+				jobs = append(jobs, run(prefix+"/"+b, sim.OOOSpec(b, ooo.LimitCore(w, mc), s.Warmup, s.Measure), s))
 			}
 		}
 	}
@@ -67,7 +66,7 @@ func Figure2(r sim.Backend, s Scale) *Table { return windowSweep(r, workload.Spe
 func Figure3(r sim.Backend, s Scale) *Table {
 	var jobs []job
 	for _, b := range workload.SuiteNames(workload.SpecFP) {
-		jobs = append(jobs, runOOO("u/"+b, b, ooo.LimitCore(4096, mem.DefaultConfig()), s))
+		jobs = append(jobs, run("u/"+b, sim.OOOSpec(b, ooo.LimitCore(4096, mem.DefaultConfig()), s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 
@@ -109,10 +108,18 @@ func fig9Configs() []struct {
 		name string
 		mk   func(bench string, s Scale) job
 	}{
-		{"R10-64", func(b string, s Scale) job { return runOOO("R10-64/"+b, b, ooo.R10K64(), s) }},
-		{"R10-256", func(b string, s Scale) job { return runOOO("R10-256/"+b, b, ooo.R10K256(), s) }},
-		{"KILO-1024", func(b string, s Scale) job { return runOOO("KILO-1024/"+b, b, kilo.Config1024(), s) }},
-		{"DKIP-2048", func(b string, s Scale) job { return runDKIP("DKIP-2048/"+b, b, core.Config{}, s) }},
+		{"R10-64", func(b string, s Scale) job {
+			return run("R10-64/"+b, sim.OOOSpec(b, ooo.R10K64(), s.Warmup, s.Measure), s)
+		}},
+		{"R10-256", func(b string, s Scale) job {
+			return run("R10-256/"+b, sim.OOOSpec(b, ooo.R10K256(), s.Warmup, s.Measure), s)
+		}},
+		{"KILO-1024", func(b string, s Scale) job {
+			return run("KILO-1024/"+b, sim.OOOSpec(b, ooo.KILO1024(), s.Warmup, s.Measure), s)
+		}},
+		{"DKIP-2048", func(b string, s Scale) job {
+			return run("DKIP-2048/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s)
+		}},
 	}
 }
 
@@ -180,7 +187,7 @@ func Figure10(r sim.Backend, s Scale) *Table {
 		for _, mp := range mpPoints {
 			cfg := dkipSched(cp, mp)
 			for _, b := range workload.SuiteNames(workload.SpecFP) {
-				jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+				jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 			}
 		}
 	}
@@ -232,7 +239,9 @@ func cacheSweepConfigs(l2 int) []struct {
 		return struct {
 			name string
 			mk   func(b string, s Scale) job
-		}{name, func(b string, s Scale) job { return runDKIP(name+suffix+"/"+b, b, cfg, s) }}
+		}{name, func(b string, s Scale) job {
+			return run(name+suffix+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s)
+		}}
 	}
 	r10 := ooo.R10K256()
 	r10.Mem = m
@@ -240,7 +249,9 @@ func cacheSweepConfigs(l2 int) []struct {
 		name string
 		mk   func(b string, s Scale) job
 	}{
-		{"R10-256", func(b string, s Scale) job { return runOOO("R10-256"+suffix+"/"+b, b, r10, s) }},
+		{"R10-256", func(b string, s Scale) job {
+			return run("R10-256"+suffix+"/"+b, sim.OOOSpec(b, r10, s.Warmup, s.Measure), s)
+		}},
 		dk("INO-INO", cpPoints[0], mpPoints[0]),
 		dk("OOO20-INO", cpPoints[1], mpPoints[0]),
 		dk("OOO80-INO", cpPoints[4], mpPoints[0]),
@@ -302,7 +313,7 @@ func Figure12(r sim.Backend, s Scale) *Table { return cacheSweep(r, workload.Spe
 func llibOccupancy(r sim.Backend, suite workload.Suite, s Scale) *Table {
 	var jobs []job
 	for _, b := range workload.SuiteNames(suite) {
-		jobs = append(jobs, runDKIP("d/"+b, b, core.Config{}, s))
+		jobs = append(jobs, run("d/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 

@@ -21,9 +21,9 @@ func Inorder(r sim.Backend, s Scale) *Table {
 	c920 := inorder.C920()
 	var jobs []job
 	for _, b := range workload.Names() {
-		jobs = append(jobs, runInorder("c920/"+b, b, c920, s))
-		jobs = append(jobs, runOOO("r10/"+b, b, ooo.R10K64(), s))
-		jobs = append(jobs, runDKIP("dkip/"+b, b, core.Config{}, s))
+		jobs = append(jobs, run("c920/"+b, sim.InorderSpec(b, c920, s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("r10/"+b, sim.OOOSpec(b, ooo.R10K64(), s.Warmup, s.Measure), s))
+		jobs = append(jobs, run("dkip/"+b, sim.DKIPSpec(b, core.Config{}, s.Warmup, s.Measure), s))
 	}
 	res := runAll(r, jobs)
 

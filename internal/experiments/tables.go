@@ -107,7 +107,7 @@ func Section43(r sim.Backend, s Scale) *Table {
 	var jobs []job
 	for _, cfg := range configs {
 		for _, b := range workload.Names() {
-			jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+			jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 		}
 	}
 	res := runAll(r, jobs)
@@ -149,7 +149,7 @@ func Section44(r sim.Backend, s Scale) *Table {
 		cfg.Mem = mem.DefaultConfig().WithL2Size(l2)
 		cfg.Name = fmt.Sprintf("dkip@%dKB", l2>>10)
 		for _, b := range workload.SuiteNames(workload.SpecFP) {
-			jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+			jobs = append(jobs, run(cfg.Name+"/"+b, sim.DKIPSpec(b, cfg, s.Warmup, s.Measure), s))
 		}
 	}
 	res := runAll(r, jobs)

@@ -16,9 +16,11 @@ package inorder
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
+	"dkip/internal/sample"
 )
 
 // Config describes one in-order core instance.
@@ -57,7 +59,11 @@ type Config struct {
 	NewPredictor func() predictor.Predictor `json:"-"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// hierarchy's included, replaced by its default. inorder.New applies it
+// implicitly; internal/sim applies it before hashing so equivalent
+// configurations memoize as the same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -79,6 +85,7 @@ func (c Config) withDefaults() Config {
 	if c.Mem.L1Latency == 0 {
 		c.Mem = mem.DefaultConfig()
 	}
+	c.Mem = c.Mem.WithDefaults()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewGshare(4096)
@@ -86,11 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WithDefaults returns the configuration with every zero field replaced by
-// its default. inorder.New applies it implicitly; internal/sim applies it
-// before hashing so equivalent configurations memoize as the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -102,6 +104,33 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// InFlight is the machine's in-flight instruction capacity, the sampling
+// window: the scoreboarded window.
+func (c Config) InFlight() uint64 { return uint64(c.Window) }
+
+// Params returns the engine parameters of a defaulted configuration.
+func (c Config) Params() engine.Params {
+	fqCap := c.FetchWidth * (c.FrontEndDepth + 2)
+	return engine.Params{
+		Family:          "inorder",
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		FetchQueueCap:   fqCap,
+		WindowCap:       c.Window + fqCap + 64,
+		Mem:             c.Mem,
+		NewPredictor:    c.NewPredictor,
+	}
+}
+
+// NewEngine builds the machine behind the shared engine interface.
+func (c Config) NewEngine() sample.Engine { return New(c) }
 
 // C920 approximates one XuanTie C920 core of the SG2042: dual-issue,
 // 64KB/1MB caches with a long memory latency (the socket's DDR4 path).

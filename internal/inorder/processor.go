@@ -31,27 +31,12 @@ type Processor struct {
 
 // New builds a processor. It panics on invalid configuration.
 func New(cfg Config) *Processor {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	fqCap := cfg.FetchWidth * (cfg.FrontEndDepth + 2)
 	p := &Processor{cfg: cfg, fus: pipeline.NewFUPool(cfg.FU)}
-	p.Init(engine.Params{
-		Family:          "inorder",
-		Name:            cfg.Name,
-		FetchWidth:      cfg.FetchWidth,
-		RenameWidth:     cfg.RenameWidth,
-		FrontEndDepth:   cfg.FrontEndDepth,
-		RedirectPenalty: cfg.RedirectPenalty,
-		LSQSize:         cfg.LSQSize,
-		MemPorts:        cfg.MemPorts,
-		MSHRs:           cfg.MSHRs,
-		FetchQueueCap:   fqCap,
-		WindowCap:       cfg.Window + fqCap + 64,
-		Mem:             cfg.Mem,
-		NewPredictor:    cfg.NewPredictor,
-	}, p)
+	p.Init(cfg.Params(), p)
 	// The in-order flag is the whole microarchitecture: Pop only ever
 	// offers the oldest queued instruction, so an unready head blocks
 	// issue entirely.
@@ -128,8 +113,9 @@ func (p *Processor) issueStage() {
 // RenameAdmit and AllocHint bound in-flight instructions by the
 // scoreboarded window (the rename/commit sequence spread — RenameSeq has
 // already advanced past seq when AllocHint runs); RenameQueue routes every
-// instruction class to the unified queue; FetchNext supplies instructions
-// straight from the trace.
+// instruction class to the unified queue. The engine's default hooks cover
+// the rest: in-order recovery is a front-end flush with no extra penalty,
+// and the core owns no occupancy or statistics beyond the engine's.
 //
 //dkip:hotpath
 func (p *Processor) RenameAdmit() bool { return int(p.RenameSeq-p.commitSeq) < p.cfg.Window }
@@ -139,37 +125,6 @@ func (p *Processor) AllocHint(seq uint64) int { return int(p.RenameSeq - p.commi
 
 //dkip:hotpath
 func (p *Processor) RenameQueue(fp bool) *pipeline.IssueQueue { return p.iq }
-
-//dkip:hotpath
-func (p *Processor) FetchNext(g trace.Generator) isa.Instr { return g.Next() }
-
-// The remaining hooks are deliberately empty: in-order recovery is a
-// front-end flush (no extra penalty), issue carries no surcharge, there is
-// no confidence estimator, no per-cycle epilogue, no extra wake sources,
-// and no model-owned occupancy or statistics beyond the engine's.
-//
-//dkip:hotpath
-func (p *Processor) RecoveryExtra(d *pipeline.DynInst) int64 { return 0 }
-
-//dkip:hotpath
-func (p *Processor) IssueExtraLatency(d *pipeline.DynInst) int64 { return 0 }
-
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool { return false }
-
-//dkip:hotpath
-func (p *Processor) EndCycle(g trace.Generator) {}
-
-//dkip:hotpath
-func (p *Processor) ConsiderWake(w *engine.WakeScan) {}
-
-//dkip:hotpath
-func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {}
-
-//dkip:hotpath
-func (p *Processor) OnBeginMeasure() {}
-
-func (p *Processor) FinishStats(st *pipeline.Stats) {}
 
 // BudgetMessage builds the cycle-budget panic text.
 func (p *Processor) BudgetMessage(bench string, target uint64) string {

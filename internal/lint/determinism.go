@@ -24,8 +24,8 @@ var Determinism = &Analyzer{
 // simSemantic is the set of packages (by directory name) whose behaviour
 // must be a pure function of configuration and seed.
 var simSemantic = map[string]bool{
-	"core": true, "ooo": true, "mem": true, "pipeline": true,
-	"kilo": true, "predictor": true, "sample": true, "ckpt": true,
+	"engine": true, "core": true, "ooo": true, "inorder": true, "mem": true,
+	"pipeline": true, "predictor": true, "sample": true, "ckpt": true,
 }
 
 type determinism struct{}

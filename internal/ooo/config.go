@@ -11,15 +11,17 @@
 //     Instruction Queue (SLIQ) extension: waiting long-latency instructions
 //     migrate out of the small issue queues into a large secondary
 //     out-of-order queue, and recovery falls back to checkpoints
-//     (see package kilo).
+//     (see KILO1024).
 package ooo
 
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
+	"dkip/internal/sample"
 )
 
 // Config describes one processor instance.
@@ -93,7 +95,11 @@ type Config struct {
 	RunaheadDepth int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// hierarchy's included, replaced by its default. ooo.New applies it
+// implicitly; internal/sim applies it before hashing so equivalent
+// configurations memoize as the same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -114,6 +120,7 @@ func (c Config) withDefaults() Config {
 	if c.Mem.L1Latency == 0 {
 		c.Mem = mem.DefaultConfig()
 	}
+	c.Mem = c.Mem.WithDefaults()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewPerceptron(4096, 24)
@@ -127,11 +134,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WithDefaults returns the configuration with every zero field replaced by
-// its default. ooo.New applies it implicitly; internal/sim applies it before
-// hashing so equivalent configurations memoize as the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.ROBSize <= 0 {
@@ -142,6 +144,39 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// InFlight is the machine's in-flight instruction capacity, the sampling
+// window: the ROB plus the slow-lane queue.
+func (c Config) InFlight() uint64 { return uint64(c.ROBSize + c.SLIQSize) }
+
+// Params returns the engine parameters of a defaulted configuration.
+func (c Config) Params() engine.Params {
+	fqCap := c.FetchWidth * (c.FrontEndDepth + 2)
+	winCap := c.ROBSize + c.SLIQSize + fqCap + 64
+	if c.SLIQSize > 0 {
+		// Out-of-order commit lets the rename/commit spread exceed the
+		// structural window while the in-order counter catches up.
+		winCap += 8192
+	}
+	return engine.Params{
+		Family:          "ooo",
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		FetchQueueCap:   fqCap,
+		WindowCap:       winCap,
+		Mem:             c.Mem,
+		NewPredictor:    c.NewPredictor,
+	}
+}
+
+// NewEngine builds the machine behind the shared engine interface.
+func (c Config) NewEngine() sample.Engine { return New(c) }
 
 // R10K64 is the paper's R10-64 baseline: 64-entry ROB, 40-entry queues —
 // identical to the default Cache Processor.
@@ -159,6 +194,31 @@ func R10K256() Config {
 // D-KIP's SpecFP performance.
 func R10K768() Config {
 	return Config{Name: "R10-768", ROBSize: 768, IQSize: 512, LSQSize: 512}
+}
+
+// KILO1024 is the traditional KILO-instruction processor of Figure 9, after
+// Cristal et al., "Out-of-order commit processors" (HPCA 2004), reference
+// [9] of the paper. It virtualizes the reorder buffer: a 64-entry pseudo-ROB
+// ages instructions, and those still waiting on operands after the aging
+// period migrate into a 1024-entry Slow Lane Instruction Queue, releasing
+// their pseudo-ROB entry. Multicheckpointing keeps precise state, so a branch
+// resolving wrong from the slow lane pays a checkpoint restore rather than a
+// rename-stack recovery.
+//
+// Because the SLIQ can itself issue (a large CAM), pointer-chasing integer
+// code profits from it more than from the D-KIP's FIFO buffers — the effect
+// behind KILO-1024 beating D-KIP-2048 on SpecINT in Figure 9 — at the cost
+// of the very structure the D-KIP exists to avoid.
+func KILO1024() Config {
+	return Config{
+		Name:              "KILO-1024",
+		ROBSize:           64, // the pseudo-ROB
+		IQSize:            72,
+		LSQSize:           512,
+		SLIQSize:          1024,
+		SLIQTimer:         16,
+		CheckpointPenalty: 8,
+	}
 }
 
 // LimitCore returns a core whose only stall resource is an n-entry ROB, as

@@ -45,36 +45,15 @@ type Processor struct {
 // New builds a processor. It panics on invalid configuration (experiment
 // definitions are code).
 func New(cfg Config) *Processor {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	fqCap := cfg.FetchWidth * (cfg.FrontEndDepth + 2)
-	winCap := cfg.ROBSize + cfg.SLIQSize + fqCap + 64
-	if cfg.SLIQSize > 0 {
-		// Out-of-order commit lets the rename/commit spread exceed the
-		// structural window while the in-order counter catches up.
-		winCap += 8192
 	}
 	p := &Processor{
 		cfg: cfg,
 		fus: pipeline.NewFUPool(cfg.FU),
 	}
-	p.Init(engine.Params{
-		Family:          "ooo",
-		Name:            cfg.Name,
-		FetchWidth:      cfg.FetchWidth,
-		RenameWidth:     cfg.RenameWidth,
-		FrontEndDepth:   cfg.FrontEndDepth,
-		RedirectPenalty: cfg.RedirectPenalty,
-		LSQSize:         cfg.LSQSize,
-		MemPorts:        cfg.MemPorts,
-		MSHRs:           cfg.MSHRs,
-		FetchQueueCap:   fqCap,
-		WindowCap:       winCap,
-		Mem:             cfg.Mem,
-		NewPredictor:    cfg.NewPredictor,
-	}, p)
+	p.Init(cfg.Params(), p)
 	p.iqI = pipeline.NewIssueQueue(pipeline.QInt, cfg.IQSize, cfg.InOrder, p.Win)
 	p.iqF = pipeline.NewIssueQueue(pipeline.QFP, cfg.IQSize, cfg.InOrder, p.Win)
 	if cfg.SLIQSize > 0 {
@@ -119,11 +98,6 @@ func (p *Processor) EndCycle(g trace.Generator) {
 		p.maybeRunahead(g)
 	}
 }
-
-// ConsiderWake adds no wake sources beyond the engine's defaults.
-//
-//dkip:hotpath
-func (p *Processor) ConsiderWake(w *engine.WakeScan) {}
 
 //dkip:hotpath
 func (p *Processor) commitStage() {
@@ -348,19 +322,6 @@ func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {
 func (p *Processor) FetchNext(g trace.Generator) isa.Instr {
 	return p.pullNext(g)
 }
-
-// OnFetchBranch reports no confidence estimate: this family has none.
-//
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool { return false }
-
-// OnBeginMeasure has no model-owned high-water statistics to reset.
-//
-//dkip:hotpath
-func (p *Processor) OnBeginMeasure() {}
-
-// FinishStats has no model-owned statistics to copy.
-func (p *Processor) FinishStats(st *pipeline.Stats) {}
 
 // BudgetMessage builds the cycle-budget panic text.
 func (p *Processor) BudgetMessage(bench string, target uint64) string {

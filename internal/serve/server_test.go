@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,7 +47,11 @@ func newTestServer(t *testing.T, store *sim.Store, opts ...ServerOption) (*httpt
 
 // A wire round-trip must preserve the content key: encode, decode, re-key.
 func TestSpecWireRoundTrip(t *testing.T) {
-	for _, spec := range testSpecs() {
+	specs := testSpecs()
+	for _, name := range sim.PresetNames() {
+		specs = append(specs, sim.MustPresetSpec(name, "swim", testWarmup, testMeasure))
+	}
+	for _, spec := range specs {
 		ws, err := EncodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -64,6 +70,9 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		}
 		if got.Key() != spec.Key() {
 			t.Errorf("%s: key changed over the wire: %s != %s", spec.Label(), got.Key(), spec.Key())
+		}
+		if got.Arch != spec.Arch || got.Label() != spec.Label() {
+			t.Errorf("%s: decoded as %s %s", spec.Label(), got.Arch, got.Label())
 		}
 	}
 }
@@ -130,7 +139,7 @@ func TestSubmitSingleAndBatch(t *testing.T) {
 // anything simulates.
 func TestSubmitRejectsInvalid(t *testing.T) {
 	ts, runner := newTestServer(t, nil)
-	for name, body := range map[string]string{
+	bodies := map[string]string{
 		"bad json":       "{",
 		"unknown arch":   `{"arch":"vax","bench":"swim","warmup":1,"measure":1}`,
 		"unknown bench":  `{"arch":"dkip","bench":"nope","warmup":1,"measure":1}`,
@@ -140,14 +149,29 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		"unknown field":  `{"arch":"dkip","bench":"swim","warmup":1,"measure":1,"bogus":3}`,
 		"invalid in set": `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1},{"arch":"dkip","bench":"nope","warmup":1,"measure":1}]}`,
 		"mixed forms":    `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1}],"arch":"dkip","bench":"swim","warmup":1,"measure":1}`,
-	} {
+	}
+	// Every engine refuses every other engine's payload (payload fields are
+	// named after the engines).
+	for _, arch := range sim.ArchNames() {
+		for _, foreign := range sim.ArchNames() {
+			if foreign != arch {
+				bodies[arch+" with "+foreign+" payload"] = fmt.Sprintf(
+					`{"arch":%q,"bench":"swim","warmup":1,"measure":1,%q:{}}`, arch, foreign)
+			}
+		}
+	}
+	for name, body := range bodies {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if strings.HasSuffix(name, " payload") && !strings.Contains(string(msg), "foreign config payload") {
+			t.Errorf("%s: refused for the wrong reason: %s", name, msg)
 		}
 	}
 	if m := runner.Metrics(); m.Simulated != 0 {

@@ -54,6 +54,40 @@ type Spec struct {
 	Sample *sample.Plan `json:"sample,omitempty"`
 }
 
+// payload binds one architecture's configuration payload on Spec to its
+// configuration field on sim.RunSpec; payloads is the wire codec's one
+// table.
+type payload struct {
+	arch sim.Arch
+	// encode copies s's configuration into w's payload. decode copies w's
+	// payload, when present, into s and reports whether it was.
+	encode func(w *Spec, s *sim.RunSpec)
+	decode func(w *Spec, s *sim.RunSpec) bool
+}
+
+func bind[C any](arch sim.Arch, wire func(w *Spec) **C, field func(s *sim.RunSpec) *C) payload {
+	return payload{
+		arch: arch,
+		encode: func(w *Spec, s *sim.RunSpec) {
+			cfg := *field(s)
+			*wire(w) = &cfg
+		},
+		decode: func(w *Spec, s *sim.RunSpec) bool {
+			cfg := *wire(w)
+			if cfg != nil {
+				*field(s) = *cfg
+			}
+			return cfg != nil
+		},
+	}
+}
+
+var payloads = []payload{
+	bind(sim.ArchOOO, func(w *Spec) **ooo.Config { return &w.OOO }, func(s *sim.RunSpec) *ooo.Config { return &s.OOO }),
+	bind(sim.ArchDKIP, func(w *Spec) **core.Config { return &w.DKIP }, func(s *sim.RunSpec) *core.Config { return &s.DKIP }),
+	bind(sim.ArchInorder, func(w *Spec) **inorder.Config { return &w.Inorder }, func(s *sim.RunSpec) *inorder.Config { return &s.Inorder }),
+}
+
 // EncodeSpec converts a sim.RunSpec to its wire form. Specs carrying opaque
 // function fields (custom predictor constructors) are refused: serializing
 // one would silently simulate a different machine on the daemon.
@@ -66,20 +100,13 @@ func EncodeSpec(s sim.RunSpec) (Spec, error) {
 		p := s.Sample
 		w.Sample = &p
 	}
-	switch s.Arch {
-	case sim.ArchOOO:
-		cfg := s.OOO
-		w.OOO = &cfg
-	case sim.ArchDKIP:
-		cfg := s.DKIP
-		w.DKIP = &cfg
-	case sim.ArchInorder:
-		cfg := s.Inorder
-		w.Inorder = &cfg
-	default:
-		return Spec{}, fmt.Errorf("serve: unknown architecture %q", s.Arch)
+	for _, p := range payloads {
+		if p.arch == s.Arch {
+			p.encode(&w, &s)
+			return w, nil
+		}
 	}
-	return w, nil
+	return Spec{}, fmt.Errorf("serve: unknown architecture %q", s.Arch)
 }
 
 // RunSpec converts the wire form back to a sim.RunSpec. It only shapes the
@@ -91,34 +118,21 @@ func (w Spec) RunSpec() (sim.RunSpec, error) {
 	if w.Sample != nil {
 		s.Sample = *w.Sample
 	}
-	switch w.Arch {
-	case sim.ArchOOO.String():
-		s.Arch = sim.ArchOOO
-		if w.DKIP != nil || w.Inorder != nil {
-			return sim.RunSpec{}, fmt.Errorf("serve: ooo spec carries a foreign config payload")
+	known, foreign := false, false
+	for _, p := range payloads {
+		carried := p.decode(&w, &s)
+		if p.arch.String() == w.Arch {
+			s.Arch, known = p.arch, true
+		} else if carried {
+			foreign = true
 		}
-		if w.OOO != nil {
-			s.OOO = *w.OOO
-		}
-	case sim.ArchDKIP.String():
-		s.Arch = sim.ArchDKIP
-		if w.OOO != nil || w.Inorder != nil {
-			return sim.RunSpec{}, fmt.Errorf("serve: dkip spec carries a foreign config payload")
-		}
-		if w.DKIP != nil {
-			s.DKIP = *w.DKIP
-		}
-	case sim.ArchInorder.String():
-		s.Arch = sim.ArchInorder
-		if w.OOO != nil || w.DKIP != nil {
-			return sim.RunSpec{}, fmt.Errorf("serve: inorder spec carries a foreign config payload")
-		}
-		if w.Inorder != nil {
-			s.Inorder = *w.Inorder
-		}
-	default:
+	}
+	if !known {
 		return sim.RunSpec{}, fmt.Errorf("serve: unknown architecture %q (registered: %s)",
 			w.Arch, strings.Join(sim.ArchNames(), ", "))
+	}
+	if foreign {
+		return sim.RunSpec{}, fmt.Errorf("serve: %s spec carries a foreign config payload", w.Arch)
 	}
 	return s, nil
 }

@@ -2,15 +2,40 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dkip/internal/core"
+	"dkip/internal/engine"
 	"dkip/internal/inorder"
+	"dkip/internal/mem"
 	"dkip/internal/ooo"
-	"dkip/internal/predictor"
 	"dkip/internal/sample"
 )
+
+// Machine is what an architecture's configuration type gives this layer.
+// ooo.Config, core.Config and inorder.Config implement it, each with a
+// WithDefaults method returning its own type (machineConfig). Validate,
+// InFlight and Params read the configuration as given; the registry calls
+// them on its WithDefaults form.
+type Machine interface {
+	// Validate reports configuration errors.
+	Validate() error
+	// InFlight estimates the machine's in-flight instruction capacity, the
+	// window sampling-plan completion scales with.
+	InFlight() uint64
+	// Params is the one source of the machine's display name, memory
+	// configuration and predictor constructor.
+	Params() engine.Params
+	// NewEngine constructs the machine: cold caches, untrained predictor.
+	NewEngine() sample.Engine
+}
+
+// machineConfig is a Machine that can apply its own defaults, returning its
+// own concrete type C.
+type machineConfig[C any] interface {
+	Machine
+	WithDefaults() C
+}
 
 // archDesc is one registered simulation engine: everything the orchestration
 // layer needs to normalize, hash, validate, and construct a RunSpec's
@@ -28,93 +53,33 @@ type archDesc struct {
 	// configuration are hashed separately, so sharing the family never
 	// conflates different state).
 	ckptFamily string
-	// normalize applies configuration defaults and zeroes every other
-	// engine's config so equivalent specs encode identically.
-	normalize func(s *RunSpec)
-	// config returns the spec's (normalized) engine configuration for
-	// content hashing; rawConfig returns it un-normalized for the opaque
-	// function-field scan.
-	config    func(s *RunSpec) interface{}
-	rawConfig func(s *RunSpec) interface{}
-	// configName returns the normalized configuration's display name.
-	configName func(s *RunSpec) string
-	// validate checks the normalized engine configuration.
-	validate func(s *RunSpec) error
-	// window estimates the machine's in-flight instruction capacity for
-	// sampling-plan completion (from the normalized spec).
-	window func(s *RunSpec) uint64
-	// predictor returns the normalized predictor constructor; memConfig
-	// the normalized memory configuration (both feed checkpoint keys).
-	predictor func(s *RunSpec) func() predictor.Predictor
-	memConfig func(s *RunSpec) interface{}
-	// newEngine constructs the machine.
-	newEngine func(s *RunSpec) sample.Engine
+	// config reads the spec's configuration field for this architecture,
+	// first replacing it with its WithDefaults form when normalize is set,
+	// and returns a pointer to the field's memory configuration.
+	config func(s *RunSpec, normalize bool) (Machine, *mem.Config)
 }
 
-var oooDesc = &archDesc{
-	arch:       ArchOOO,
-	name:       "ooo",
-	ckptFamily: "ooo",
-	normalize: func(s *RunSpec) {
-		s.OOO = s.OOO.WithDefaults()
-		s.OOO.Mem = s.OOO.Mem.WithDefaults()
-		s.DKIP = core.Config{}
-		s.Inorder = inorder.Config{}
-	},
-	config:     func(s *RunSpec) interface{} { return s.OOO },
-	rawConfig:  func(s *RunSpec) interface{} { return s.OOO },
-	configName: func(s *RunSpec) string { return s.OOO.Name },
-	validate:   func(s *RunSpec) error { return s.OOO.Validate() },
-	window:     func(s *RunSpec) uint64 { return uint64(s.OOO.ROBSize + s.OOO.SLIQSize) },
-	predictor:  func(s *RunSpec) func() predictor.Predictor { return s.OOO.NewPredictor },
-	memConfig:  func(s *RunSpec) interface{} { return s.OOO.Mem },
-	newEngine:  func(s *RunSpec) sample.Engine { return ooo.New(s.OOO) },
-}
-
-var dkipDesc = &archDesc{
-	arch:       ArchDKIP,
-	name:       "dkip",
-	ckptFamily: "core",
-	normalize: func(s *RunSpec) {
-		s.DKIP = s.DKIP.WithDefaults()
-		s.DKIP.Mem = s.DKIP.Mem.WithDefaults()
-		s.OOO = ooo.Config{}
-		s.Inorder = inorder.Config{}
-	},
-	config:     func(s *RunSpec) interface{} { return s.DKIP },
-	rawConfig:  func(s *RunSpec) interface{} { return s.DKIP },
-	configName: func(s *RunSpec) string { return s.DKIP.Name },
-	validate:   func(s *RunSpec) error { return s.DKIP.Validate() },
-	window: func(s *RunSpec) uint64 {
-		w := uint64(s.DKIP.LLIBSize)
-		if r := uint64(s.DKIP.ROBSize); r > w {
-			w = r
+// field builds an archDesc.config accessor from one RunSpec field.
+func field[C machineConfig[C]](f func(s *RunSpec) (*C, *mem.Config)) func(*RunSpec, bool) (Machine, *mem.Config) {
+	return func(s *RunSpec, normalize bool) (Machine, *mem.Config) {
+		c, m := f(s)
+		if normalize {
+			*c = (*c).WithDefaults()
 		}
-		return w
-	},
-	predictor: func(s *RunSpec) func() predictor.Predictor { return s.DKIP.NewPredictor },
-	memConfig: func(s *RunSpec) interface{} { return s.DKIP.Mem },
-	newEngine: func(s *RunSpec) sample.Engine { return core.New(s.DKIP) },
+		return *c, m
+	}
 }
 
-var inorderDesc = &archDesc{
-	arch:       ArchInorder,
-	name:       "inorder",
-	ckptFamily: "ooo", // caches + predictor only, same structure as ooo
-	normalize: func(s *RunSpec) {
-		s.Inorder = s.Inorder.WithDefaults()
-		s.Inorder.Mem = s.Inorder.Mem.WithDefaults()
-		s.OOO = ooo.Config{}
-		s.DKIP = core.Config{}
-	},
-	config:     func(s *RunSpec) interface{} { return s.Inorder },
-	rawConfig:  func(s *RunSpec) interface{} { return s.Inorder },
-	configName: func(s *RunSpec) string { return s.Inorder.Name },
-	validate:   func(s *RunSpec) error { return s.Inorder.Validate() },
-	window:     func(s *RunSpec) uint64 { return uint64(s.Inorder.Window) },
-	predictor:  func(s *RunSpec) func() predictor.Predictor { return s.Inorder.NewPredictor },
-	memConfig:  func(s *RunSpec) interface{} { return s.Inorder.Mem },
-	newEngine:  func(s *RunSpec) sample.Engine { return inorder.New(s.Inorder) },
+// archDescs lists the registered engines in Arch order.
+var archDescs = []*archDesc{
+	{arch: ArchOOO, name: "ooo", ckptFamily: "ooo",
+		config: field(func(s *RunSpec) (*ooo.Config, *mem.Config) { return &s.OOO, &s.OOO.Mem })},
+	{arch: ArchDKIP, name: "dkip", ckptFamily: "core",
+		config: field(func(s *RunSpec) (*core.Config, *mem.Config) { return &s.DKIP, &s.DKIP.Mem })},
+	// The in-order core snapshots caches and predictor only, the same
+	// structure as ooo.
+	{arch: ArchInorder, name: "inorder", ckptFamily: "ooo",
+		config: field(func(s *RunSpec) (*inorder.Config, *mem.Config) { return &s.Inorder, &s.Inorder.Mem })},
 }
 
 var (
@@ -123,7 +88,7 @@ var (
 )
 
 func init() {
-	for _, d := range []*archDesc{oooDesc, dkipDesc, inorderDesc} {
+	for _, d := range archDescs {
 		archByID[d.arch] = d
 		archByName[d.name] = d
 	}
@@ -137,27 +102,23 @@ func desc(a Arch) *archDesc {
 	if d, ok := archByID[a]; ok {
 		return d
 	}
-	return oooDesc
+	return archDescs[0]
 }
 
 // ArchNames lists the registered engine names in Arch order.
 func ArchNames() []string {
-	names := make([]string, 0, len(archByID))
-	for _, d := range archByID {
-		names = append(names, d.name)
+	names := make([]string, len(archDescs))
+	for i, d := range archDescs {
+		names[i] = d.name
 	}
-	sort.Slice(names, func(i, j int) bool {
-		return archByName[names[i]].arch < archByName[names[j]].arch
-	})
 	return names
 }
 
 // Archs lists the registered engines in Arch order.
 func Archs() []Arch {
-	names := ArchNames()
-	archs := make([]Arch, len(names))
-	for i, n := range names {
-		archs[i] = archByName[n].arch
+	archs := make([]Arch, len(archDescs))
+	for i, d := range archDescs {
+		archs[i] = d.arch
 	}
 	return archs
 }

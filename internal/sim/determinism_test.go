@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dkip/internal/core"
-	"dkip/internal/kilo"
 	"dkip/internal/ooo"
 )
 
@@ -20,8 +19,8 @@ func TestRunsAreDeterministic(t *testing.T) {
 		"dkip-fp":  DKIPSpec("swim", core.Config{}, testWarmup, testMeasure),
 		"ooo-int":  OOOSpec("gzip", ooo.R10K64(), testWarmup, testMeasure),
 		"ooo-fp":   OOOSpec("applu", ooo.R10K256(), testWarmup, testMeasure),
-		"kilo-int": OOOSpec("mcf", kilo.Config1024(), testWarmup, testMeasure),
-		"kilo-fp":  OOOSpec("art", kilo.Config1024(), testWarmup, testMeasure),
+		"kilo-int": OOOSpec("mcf", ooo.KILO1024(), testWarmup, testMeasure),
+		"kilo-fp":  OOOSpec("art", ooo.KILO1024(), testWarmup, testMeasure),
 	}
 	for name, spec := range specs {
 		spec := spec
@@ -64,7 +63,7 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 		DKIPSpec("mcf", core.Config{}, testWarmup, testMeasure),
 		OOOSpec("gzip", ooo.R10K64(), testWarmup, testMeasure),
 		OOOSpec("applu", ooo.R10K256(), testWarmup, testMeasure),
-		OOOSpec("art", kilo.Config1024(), testWarmup, testMeasure),
+		OOOSpec("art", ooo.KILO1024(), testWarmup, testMeasure),
 	}
 	// Triplicate the set so dedup and the memo cache are exercised under
 	// contention, not just the happy path.

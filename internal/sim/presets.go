@@ -7,7 +7,6 @@ import (
 
 	"dkip/internal/core"
 	"dkip/internal/inorder"
-	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
 )
@@ -29,7 +28,7 @@ var presets = map[string]func(bench string, warmup, measure uint64) RunSpec{
 		return OOOSpec(b, ooo.R10K768(), w, m)
 	},
 	"kilo": func(b string, w, m uint64) RunSpec {
-		return OOOSpec(b, kilo.Config1024(), w, m)
+		return OOOSpec(b, ooo.KILO1024(), w, m)
 	},
 	"inorder": func(b string, w, m uint64) RunSpec {
 		return InorderSpec(b, inorder.C920(), w, m)

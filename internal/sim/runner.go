@@ -186,8 +186,17 @@ func NewRunner(opts ...Option) *Runner {
 // earlier run). The returned Result is the caller's own copy; Cached reports
 // whether a simulation was avoided.
 func (r *Runner) Run(spec RunSpec) (*Result, error) {
+	return r.start(spec)()
+}
+
+// start does Run's bookkeeping — validation, counters, and joining or
+// registering the spec's call — and returns the rest of the run. RunAll
+// starts its specs one by one in submission order, so the first-submitted
+// spec of each key leads the call, and the record its duplicates receive
+// (the Config name among them) does not depend on goroutine scheduling.
+func (r *Runner) start(spec RunSpec) func() (*Result, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return func() (*Result, error) { return nil, err }
 	}
 	if !spec.Memoizable() {
 		in := InShard(spec, r.shardI, r.shardN)
@@ -200,9 +209,9 @@ func (r *Runner) Run(spec RunSpec) (*Result, error) {
 		}
 		r.mu.Unlock()
 		if !in {
-			return placeholder(spec, ""), nil
+			return func() (*Result, error) { return placeholder(spec, ""), nil }
 		}
-		return r.simulate(spec)
+		return func() (*Result, error) { return r.simulate(spec) }
 	}
 	key := spec.Key()
 	r.mu.Lock()
@@ -215,18 +224,25 @@ func (r *Runner) Run(spec RunSpec) (*Result, error) {
 			r.m.Deduped++
 		}
 		r.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return nil, c.err
+		return func() (*Result, error) {
+			<-c.done
+			if c.err != nil {
+				return nil, c.err
+			}
+			// A joiner of an out-of-shard call receives the placeholder,
+			// which no cache tier served: keep its Cached contract honest.
+			return c.res.clone(!c.res.Skipped), nil
 		}
-		// A joiner of an out-of-shard call receives the placeholder, which
-		// no cache tier served: keep its Cached contract honest.
-		return c.res.clone(!c.res.Skipped), nil
 	}
 	c := &call{done: make(chan struct{})}
 	r.calls[key] = c
 	r.mu.Unlock()
+	return func() (*Result, error) { return r.lead(spec, key, c) }
+}
 
+// lead resolves the call spec registered under key: store read-through,
+// shard check, simulation, write-behind.
+func (r *Runner) lead(spec RunSpec, key string, c *call) (*Result, error) {
 	// Read-through: consult the persistent store before simulating. A disk
 	// hit completes the memo-cache entry, so repeats within this process
 	// are ordinary CacheHits.
@@ -376,10 +392,11 @@ func (r *Runner) RunAll(specs []RunSpec) ([]*Result, error) {
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i := range specs {
+		finish := r.start(specs[i])
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.Run(specs[i])
+			results[i], errs[i] = finish()
 		}(i)
 	}
 	wg.Wait()

@@ -106,6 +106,35 @@ func TestRunAllDeduplicates(t *testing.T) {
 	}
 }
 
+// Within one RunAll batch the first-submitted spec of a key leads its call,
+// so a renamed duplicate's record carries the first spec's Config name
+// whatever the goroutine schedule: artifacts and the differential golden
+// depend on it.
+func TestRunAllFirstSubmittedLeads(t *testing.T) {
+	first := OOOSpec("gzip", ooo.R10K64(), 100, 500)
+	renamed := first
+	renamed.OOO.Name = "renamed"
+	specs := []RunSpec{first}
+	for i := 0; i < 16; i++ {
+		specs = append(specs, renamed)
+	}
+	for pass := 0; pass < 10; pass++ {
+		r := NewRunner()
+		results, err := r.RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			if res.Config != "R10-64" {
+				t.Fatalf("pass %d: result %d carries %q, want the first-submitted R10-64", pass, i, res.Config)
+			}
+		}
+		if recs := r.Results(); len(recs) != 1 || recs[0].Config != "R10-64" {
+			t.Fatalf("pass %d: recorded runs %v, want one R10-64", pass, recs)
+		}
+	}
+}
+
 // Concurrent Run calls for the same spec (not batched through RunAll) must
 // coalesce via singleflight.
 func TestConcurrentRunsCoalesce(t *testing.T) {

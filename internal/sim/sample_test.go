@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dkip/internal/core"
-	"dkip/internal/kilo"
 	"dkip/internal/ooo"
 	"dkip/internal/sample"
 )
@@ -41,7 +40,7 @@ func sampleGrid() []RunSpec {
 	configs := []RunSpec{
 		OOOSpec("", ooo.R10K64(), sampleScaleWarmup, sampleScaleMeasure),
 		OOOSpec("", ooo.R10K256(), sampleScaleWarmup, sampleScaleMeasure),
-		OOOSpec("", kilo.Config1024(), sampleScaleWarmup, sampleScaleMeasure),
+		OOOSpec("", ooo.KILO1024(), sampleScaleWarmup, sampleScaleMeasure),
 		DKIPSpec("", core.Config{}, sampleScaleWarmup, sampleScaleMeasure),
 	}
 	var specs []RunSpec

@@ -28,6 +28,7 @@ import (
 	"dkip/internal/ckpt"
 	"dkip/internal/core"
 	"dkip/internal/inorder"
+	"dkip/internal/mem"
 	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
 	"dkip/internal/sample"
@@ -42,7 +43,7 @@ type Arch uint8
 const (
 	// ArchOOO is the R10000-style out-of-order core (package ooo): the
 	// R10-* baselines, the limit-study cores, and — with the SLIQ
-	// extension enabled — the KILO-1024 baseline (package kilo).
+	// extension enabled — the KILO-1024 baseline (ooo.KILO1024).
 	ArchOOO Arch = iota
 	// ArchDKIP is the Decoupled KILO-Instruction Processor (package core).
 	ArchDKIP
@@ -105,18 +106,25 @@ func InorderSpec(bench string, cfg inorder.Config, warmup, measure uint64) RunSp
 	return RunSpec{Arch: ArchInorder, Inorder: cfg, Bench: bench, Warmup: warmup, Measure: measure}
 }
 
-// normalized applies configuration defaults so that equivalent specs encode
-// identically, and zeroes the engine configs the spec does not use.
-func (s RunSpec) normalized() RunSpec {
-	desc(s.Arch).normalize(&s)
-	return s
+// machine returns the spec's configuration for its architecture with
+// defaults applied, so that equivalent specs encode identically.
+func (s RunSpec) machine() Machine {
+	m, _ := desc(s.Arch).config(&s, true)
+	return m
+}
+
+// Mem replaces the spec's memory configuration with its defaulted form and
+// returns it, for callers that override single fields of it.
+func (s *RunSpec) Mem() *mem.Config {
+	_, m := desc(s.Arch).config(s, false)
+	*m = s.machine().Params().Mem
+	return m
 }
 
 // ConfigName returns the configuration's display name (after defaults, so a
 // zero D-KIP config reports the paper's "DKIP-2048").
 func (s RunSpec) ConfigName() string {
-	n := s.normalized()
-	return desc(s.Arch).configName(&n)
+	return s.machine().Params().Name
 }
 
 // Key returns the deterministic content hash identifying this run: engine,
@@ -124,7 +132,6 @@ func (s RunSpec) ConfigName() string {
 // function fields), workload, scale, and tag. Two specs with equal Keys
 // simulate identically; the Runner memoizes on it.
 func (s RunSpec) Key() string {
-	n := s.normalized()
 	h := sha256.New()
 	fmt.Fprintf(h, "arch=%s;bench=%s;warmup=%d;measure=%d;tag=%s;", s.Arch, s.Bench, s.Warmup, s.Measure, s.Tag)
 	// The sampling plan is part of the machine description only when it is
@@ -134,7 +141,7 @@ func (s RunSpec) Key() string {
 	if p := s.SamplePlan(); p.Enabled() {
 		fmt.Fprintf(h, "sample=%d/%d/%d;", p.Intervals, p.Interval, p.Warmup)
 	}
-	hashConfig(h, desc(s.Arch).config(&n))
+	hashConfig(h, s.machine())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -151,8 +158,7 @@ func (s RunSpec) SamplePlan() sample.Plan {
 	if !s.Sample.Enabled() {
 		return sample.Plan{}
 	}
-	n := s.normalized()
-	return s.Sample.Complete(s.Warmup, s.Measure, desc(s.Arch).window(&n))
+	return s.Sample.Complete(s.Warmup, s.Measure, s.machine().InFlight())
 }
 
 // checkpointKey returns the content key of the architectural checkpoint at
@@ -163,11 +169,10 @@ func (s RunSpec) SamplePlan() sample.Plan {
 // geometry, so every sweep point over e.g. window sizes shares one
 // checkpoint set.
 func (s RunSpec) checkpointKey(pos uint64) string {
-	n := s.normalized()
-	d := desc(s.Arch)
+	p := s.machine().Params()
 	h := sha256.New()
-	fmt.Fprintf(h, "ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=%d;", d.ckptFamily, s.Bench, s.Tag, d.predictor(&n)().Name(), pos)
-	hashConfig(h, d.memConfig(&n))
+	fmt.Fprintf(h, "ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=%d;", desc(s.Arch).ckptFamily, s.Bench, s.Tag, p.NewPredictor().Name(), pos)
+	hashConfig(h, p.Mem)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -185,7 +190,8 @@ func (s RunSpec) Memoizable() bool {
 // serve layer refuses it rather than silently simulating a different
 // machine.
 func (s RunSpec) Portable() bool {
-	return !hasOpaqueFields(desc(s.Arch).rawConfig(&s))
+	raw, _ := desc(s.Arch).config(&s, false)
+	return !hasOpaqueFields(raw)
 }
 
 // Validate reports spec errors: unknown workload, empty scale, or an invalid
@@ -200,8 +206,7 @@ func (s RunSpec) Validate() error {
 	if err := s.SamplePlan().Validate(s.Measure); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	n := s.normalized()
-	if err := desc(s.Arch).validate(&n); err != nil {
+	if err := s.machine().Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
@@ -215,7 +220,8 @@ func (s RunSpec) Label() string {
 // NewEngine constructs the spec's machine behind the shared engine
 // interface: cold caches, untrained predictor, ready to Run.
 func (s RunSpec) NewEngine() sample.Engine {
-	return desc(s.Arch).newEngine(&s)
+	raw, _ := desc(s.Arch).config(&s, false)
+	return raw.NewEngine()
 }
 
 // Simulate builds the spec's processor and runs it over the given generator,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dkip/internal/core"
-	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
 	"dkip/internal/predictor"
@@ -124,10 +123,35 @@ func TestConfigNameAndLabel(t *testing.T) {
 	if got := DKIPSpec("swim", core.Config{}, 1, 1).ConfigName(); got != "DKIP-2048" {
 		t.Errorf("ConfigName = %q, want DKIP-2048", got)
 	}
-	if got := OOOSpec("mcf", kilo.Config1024(), 1, 1).Label(); got != "KILO-1024/mcf" {
+	if got := OOOSpec("mcf", ooo.KILO1024(), 1, 1).Label(); got != "KILO-1024/mcf" {
 		t.Errorf("Label = %q", got)
 	}
 	if got := ArchDKIP.String(); got != "dkip" {
 		t.Errorf("ArchDKIP = %q", got)
+	}
+}
+
+// RunSpec.Mem exposes the defaulted memory configuration of whichever engine
+// the spec selects: reading it leaves the content key alone, and a field
+// written through it is the field the key hashes.
+func TestMemOverridesThroughRegistry(t *testing.T) {
+	for _, name := range PresetNames() {
+		spec := MustPresetSpec(name, "swim", 1000, 4000)
+		before := spec.Key()
+		m := spec.Mem()
+		if spec.Key() != before || !spec.Portable() {
+			t.Errorf("%s: reading Mem changed the spec", name)
+		}
+		if m.L1Latency == 0 || m.L1Assoc == 0 {
+			t.Errorf("%s: Mem = %+v, want defaults applied", name, *m)
+		}
+		m.MemLatency++
+		if spec.Key() == before {
+			t.Errorf("%s: a MemLatency override did not reach the key", name)
+		}
+	}
+	c920 := MustPresetSpec("inorder", "swim", 1, 1)
+	if got := c920.Mem().L2Size; got != 1<<20 {
+		t.Errorf("inorder preset L2 = %d, want its own 1 MiB", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dkip/internal/core"
-	"dkip/internal/kilo"
 	"dkip/internal/ooo"
 	"dkip/internal/sample"
 )
@@ -24,7 +23,7 @@ func TestSamplePlanProbe(t *testing.T) {
 	configs := []RunSpec{
 		OOOSpec("", ooo.R10K64(), warmup, measure),
 		OOOSpec("", ooo.R10K768(), warmup, measure),
-		OOOSpec("", kilo.Config1024(), warmup, measure),
+		OOOSpec("", ooo.KILO1024(), warmup, measure),
 		DKIPSpec("", core.Config{}, warmup, measure),
 	}
 	benches := []string{"mcf", "vpr", "ammp", "galgel", "swim", "art"}
