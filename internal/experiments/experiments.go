@@ -99,7 +99,7 @@ func (t *Table) CSV() string {
 // registry maps experiment ids to their implementations. Every
 // implementation simulates exclusively through the sim.Backend it is handed
 // — a local Runner (overlapping runs across experiments memoize per
-// process) or a serve.Client forwarding to a shared dkipd daemon.
+// process) or a serve.Pool routing to one or more shared dkipd daemons.
 var registry = map[string]struct {
 	title string
 	fn    func(sim.Backend, Scale) *Table
@@ -166,8 +166,8 @@ func Runner() sim.Backend {
 }
 
 // UseRunner replaces the process-wide shared Backend, returning the previous
-// one. cmd/experiments installs a Runner sized by -parallel (or a remote
-// client when -remote is set); tests install instrumented Runners.
+// one. cmd/experiments installs a Runner sized by -parallel (or a
+// serve.Pool when -remote is set); tests install instrumented Runners.
 func UseRunner(r sim.Backend) sim.Backend {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()

@@ -23,7 +23,6 @@ type flakyFront struct {
 	fail503 atomic.Int32
 	drop    atomic.Int32
 	dead    atomic.Bool
-	wedged  atomic.Bool // accepts submissions, never answers them
 }
 
 func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -32,15 +31,6 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
-		if f.wedged.Load() {
-			// Consume the body first: with unread body bytes pending,
-			// net/http never starts the background read that observes a
-			// client abort, the context would never cancel, and the
-			// server's Close would deadlock against this handler.
-			io.Copy(io.Discard, r.Body)
-			<-r.Context().Done() // hold the request until the client gives up
-			return
-		}
 		if f.fail503.Add(-1) >= 0 {
 			http.Error(w, "serve: injected 503", http.StatusServiceUnavailable)
 			return

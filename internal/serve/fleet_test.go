@@ -325,45 +325,6 @@ func TestPoolMembershipBackwardCompatible(t *testing.T) {
 	}
 }
 
-// Work-stealing: a chunk stuck on a wedged member (healthz fine,
-// submissions never answered, no submit timeout configured) is resubmitted
-// to the idle peer after the steal deadline, and the canceled duplicate
-// does not fail the sweep.
-func TestPoolStealsFromStraggler(t *testing.T) {
-	a, frontA, ra := newFleetMember(t)
-	frontA.wedged.Store(true)
-	b, _, rb := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolSteal(100*time.Millisecond))
-
-	specs := fleetSpecs(6)
-	done := make(chan error, 1)
-	var res []*sim.Result
-	go func() {
-		var err error
-		res, err = pool.RunAll(specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("RunAll with a wedged member and stealing: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunAll hung on the wedged member despite work-stealing")
-	}
-	for i, spec := range specs {
-		if res[i].Key != spec.Key() || res[i].Stats == nil {
-			t.Errorf("stolen result %d: key %q, want %q", i, res[i].Key, spec.Key())
-		}
-	}
-	if got := ra.Metrics().Simulated; got != 0 {
-		t.Errorf("wedged member simulated %d runs", got)
-	}
-	if got, want := rb.Metrics().Simulated, uint64(uniqueKeys(specs)); got != want {
-		t.Errorf("peer simulated %d runs, want %d (the stolen chunks)", got, want)
-	}
-}
-
 // Pool.WaitHealthy honors its context: canceling while no member answers
 // returns promptly instead of burning the budget.
 func TestPoolWaitHealthyHonorsContext(t *testing.T) {

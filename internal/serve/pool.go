@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dkip/internal/sim"
@@ -25,12 +23,11 @@ import (
 // retries exhaust, the Pool marks it down for a cooldown and re-routes its
 // keys across the survivors (rendezvous hashing guarantees the survivors'
 // own assignments do not move). When every backend is down, the Pool fails
-// over to an optional local sim.Runner so a sweep always finishes. One
-// caveat: a member that accepts submissions but never answers them is, by
-// default, indistinguishable from one running a long simulation — bound
-// submissions with PoolSubmitTimeout when sweep latency is known so such a
-// member re-routes too, or race its chunks against idle peers with
-// PoolSteal.
+// over to an optional local sim.Runner so a sweep always finishes. A single
+// daemon is a one-seed fleet. One caveat: a member that accepts submissions
+// but never answers them is indistinguishable from one running a long
+// simulation, so it holds its chunks until it answers or its connection
+// drops.
 //
 // With PoolMembership the ring is dynamic: between re-route rounds the Pool
 // refreshes its member set from the fleet's own GET /v1/members view, so
@@ -43,15 +40,13 @@ import (
 // produced through a Pool compares byte-for-byte (outside the metrics
 // section) with a local run's.
 type Pool struct {
-	chunk         int
-	window        chan struct{}
-	retry         RetryPolicy
-	cooldown      time.Duration
-	submitTimeout time.Duration
-	probe         func(base string) error
-	fallback      *sim.Runner
-	identity      string
-	steal         time.Duration
+	chunk    int
+	window   chan struct{}
+	retry    RetryPolicy
+	cooldown time.Duration
+	probe    func(base string) error
+	fallback *sim.Runner
+	identity string
 
 	membership      bool
 	refreshInterval time.Duration
@@ -84,9 +79,6 @@ type member struct {
 	downUntil time.Time     // zero when the member is routable
 	gen       uint64        // bumped by every markDown; stale probe outcomes must not override newer evidence
 	probing   chan struct{} // non-nil while one revival probe runs; followers wait on it
-
-	inflight  atomic.Int32 // chunk submissions currently in flight to this member
-	latencyNs atomic.Int64 // last successful chunk's latency; 0 until observed
 }
 
 // down reports whether the member is currently out of the routing ring —
@@ -112,29 +104,9 @@ func PoolChunk(n int) PoolOption {
 	}
 }
 
-// PoolWindow bounds chunk submissions in flight across the whole fleet
-// (default 2× the seed member count); n <= 0 keeps the default.
-func PoolWindow(n int) PoolOption {
-	return func(p *Pool) {
-		if n > 0 {
-			p.window = make(chan struct{}, n)
-		}
-	}
-}
-
 // PoolRetry sets the per-submission retry policy the member clients use.
 func PoolRetry(rp RetryPolicy) PoolOption {
 	return func(p *Pool) { p.retry = rp }
-}
-
-// PoolSubmitTimeout bounds each chunk-submission attempt (default none —
-// full-scale chunks legitimately simulate for minutes). With a bound, a
-// daemon that accepts submissions but never answers (wedged store mount,
-// deadlocked host) is re-routed like any other transient failure instead of
-// holding the sweep; without one, such a member can still stall a sweep
-// even though its healthz probe passes.
-func PoolSubmitTimeout(d time.Duration) PoolOption {
-	return func(p *Pool) { p.submitTimeout = d }
 }
 
 // PoolCooldown sets how long a failed member stays out of the routing ring
@@ -186,21 +158,6 @@ func PoolMembership(interval time.Duration) PoolOption {
 	}
 }
 
-// PoolSteal enables work-stealing for stragglers: when a chunk has been in
-// flight longer than d and an alive peer is idle, the chunk is resubmitted
-// to the idlest peer and the two submissions race — first answer wins, the
-// loser is canceled. Duplicated work is nearly free (specs are
-// content-keyed; the daemons share one store, so the duplicate is usually a
-// dedup or disk hit), while a straggling daemon stops gating the sweep's
-// tail. Off by default.
-func PoolSteal(d time.Duration) PoolOption {
-	return func(p *Pool) {
-		if d > 0 {
-			p.steal = d
-		}
-	}
-}
-
 // NewPool builds a Pool over the given daemon base URLs (e.g.
 // "http://a:8321", "http://b:8321"). Empty entries are dropped; duplicate
 // bases are an error — two ring slots for one daemon would skew routing.
@@ -234,20 +191,20 @@ func NewPool(bases []string, opts ...PoolOption) (*Pool, error) {
 	for _, b := range order {
 		p.members = append(p.members, p.newMember(b))
 	}
-	if p.window == nil {
-		p.window = make(chan struct{}, 2*len(p.members))
-	}
+	// The window bounds chunk submissions in flight across the whole
+	// fleet: two per seed, however many members membership later adds.
+	p.window = make(chan struct{}, 2*len(p.members))
 	return p, nil
 }
 
 // newMember builds a ring entry and its client; call after options are
-// applied so the client inherits the Pool's retry, timeout, and identity.
+// applied so the client inherits the Pool's retry and identity.
 func (p *Pool) newMember(base string) *member {
 	m := &member{base: base}
 	// Member metadata reads get a short timeout: Pool.Metrics must not
 	// stall for half a minute on a host that died between sweeps.
 	m.client = NewClient(base, WithRetry(p.retry),
-		MetaTimeout(5*time.Second), SubmitTimeout(p.submitTimeout), Identity(p.identity))
+		MetaTimeout(5*time.Second), Identity(p.identity))
 	return m
 }
 
@@ -430,9 +387,9 @@ func (p *Pool) refreshMembers(alive []*member, force bool) bool {
 }
 
 // reconcile rebuilds the ring as the union of the seed URLs and the live
-// membership view. Existing member objects are preserved so health state,
-// probe generations, and in-flight accounting survive a refresh; discovered
-// members join fresh, departed non-seeds drop out.
+// membership view. Existing member objects are preserved so health state and
+// probe generations survive a refresh; discovered members join fresh,
+// departed non-seeds drop out.
 func (p *Pool) reconcile(view []Member) {
 	now := time.Now()
 	want := make(map[string]bool, len(view)+len(p.seeds))
@@ -517,7 +474,7 @@ func (p *Pool) Run(spec sim.RunSpec) (*sim.Result, error) {
 // re-route to surviving members; with no survivors the remainder runs on
 // the local fallback Runner, or the sweep fails if none is configured.
 // Specs carrying opaque function fields are refused before anything is
-// sent, like Client.RunAll.
+// sent.
 func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
 	keys := make([]string, len(specs))
 	for i, s := range specs {
@@ -613,7 +570,7 @@ func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
 					for i, k := range ck {
 						cs[i] = unique[k]
 					}
-					res, err := p.submitChunk(m, cs, alive)
+					res, err := p.submitChunk(m, cs)
 					outMu.Lock()
 					defer outMu.Unlock()
 					if err != nil {
@@ -654,109 +611,20 @@ func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
 	return out, nil
 }
 
-// submitChunk submits one chunk to its routed member. With stealing enabled
-// and the chunk still unanswered after the steal deadline, the chunk is
-// duplicated to the idlest alive peer and the two submissions race: first
-// success wins and cancels the other (cancellation is non-transient, so the
-// loser's retry ladder stops dead). Transient failures mark the failing
-// member down either way.
-func (p *Pool) submitChunk(primary *member, specs []sim.RunSpec, peers []*member) ([]*sim.Result, error) {
-	if p.steal <= 0 || len(peers) < 2 {
-		res, err := p.timedRunAll(context.Background(), primary, specs)
-		if err != nil && Transient(err) {
-			p.markDown(primary)
-		}
-		return res, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type answer struct {
-		m   *member
-		res []*sim.Result
-		err error
-	}
-	ch := make(chan answer, 2) // buffered: the canceled loser's answer is never read
-	submit := func(m *member) {
-		res, err := p.timedRunAll(ctx, m, specs)
-		ch <- answer{m, res, err}
-	}
-	outstanding := 1
-	go submit(primary)
-	timer := time.NewTimer(p.steal)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case a := <-ch:
-			if a.err == nil {
-				return a.res, nil
-			}
-			if Transient(a.err) {
-				p.markDown(a.m)
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if outstanding--; outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			// The primary is straggling. One steal per chunk: resubmit to
-			// the idlest peer (duplicates are nearly free — the daemons
-			// share singleflight keys through one store) and let the two
-			// race. With every peer busy or down right now, re-arm and try
-			// again — peers finishing their own chunks become eligible.
-			if thief := p.idlestPeer(primary, peers); thief != nil {
-				outstanding++
-				go submit(thief)
-			} else {
-				timer.Reset(p.steal)
-			}
-		}
-	}
-}
-
-// timedRunAll wraps a member submission with the in-flight and latency
-// accounting the steal scheduler picks targets by.
-func (p *Pool) timedRunAll(ctx context.Context, m *member, specs []sim.RunSpec) ([]*sim.Result, error) {
-	m.inflight.Add(1)
-	start := time.Now()
-	res, err := m.client.runAll(ctx, specs)
-	m.inflight.Add(-1)
-	if err == nil {
-		m.latencyNs.Store(time.Since(start).Nanoseconds())
+// submitChunk submits one chunk to its routed member; a transient failure
+// (retries exhausted) marks the member down so its keys re-route.
+func (p *Pool) submitChunk(m *member, specs []sim.RunSpec) ([]*sim.Result, error) {
+	res, err := m.client.RunAll(specs)
+	if err != nil && Transient(err) {
+		p.markDown(m)
 	}
 	return res, err
 }
 
-// idlestPeer picks the steal target: an alive peer (not the primary, not
-// down) with nothing in flight, preferring the fastest last-observed chunk
-// latency; nil when every peer is busy or down. Members never observed
-// (latency 0) rank last among idle peers — a host that has answered fast is
-// a better bet than one that has answered nothing.
-func (p *Pool) idlestPeer(primary *member, peers []*member) *member {
-	now := time.Now()
-	var best *member
-	var bestLat int64
-	for _, m := range peers {
-		if m == primary || m.down(now) || m.inflight.Load() != 0 {
-			continue
-		}
-		lat := m.latencyNs.Load()
-		if lat == 0 {
-			lat = math.MaxInt64
-		}
-		if best == nil || lat < bestLat || (lat == bestLat && m.base < best.base) {
-			best, bestLat = m, lat
-		}
-	}
-	return best
-}
-
 // Results returns copies of the unique runs resolved fleet-wide (including
 // any the local fallback simulated), sorted by content key — the same
-// contract as Runner.Results and Client.Results, so pool, single-daemon,
-// and local artifacts compare key-for-key.
+// contract as Runner.Results, so fleet and local artifacts compare
+// key-for-key.
 func (p *Pool) Results() []*sim.Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -770,7 +638,7 @@ func (p *Pool) Results() []*sim.Result {
 
 // Metrics sums the daemons' cumulative counters into one fleet-wide view,
 // plus the local fallback Runner's when one is configured. Members
-// currently marked down contribute zeros (matching Client.Metrics on an
+// currently marked down contribute zeros (as Client.Metrics reports for an
 // unreachable daemon) instead of stalling the read.
 func (p *Pool) Metrics() sim.Metrics {
 	now := time.Now()

@@ -198,43 +198,6 @@ func TestPoolReroutesWhenBackendDies(t *testing.T) {
 	}
 }
 
-// A wedged member — healthz answers, submissions accepted but never
-// resolved — must not hold the sweep when a submit timeout is configured:
-// the bounded attempts come back as transient failures and its keys
-// re-route to the survivor.
-func TestPoolReroutesWedgedBackend(t *testing.T) {
-	a, frontA, ra := newFleetMember(t)
-	frontA.wedged.Store(true)
-	b, _, rb := newFleetMember(t)
-	// The timeout bounds every member, so it must comfortably cover the
-	// survivor's real (race-detector-slowed) simulations while still
-	// cutting the wedged member loose.
-	pool := newTestPool(t, []*httptest.Server{a, b},
-		PoolSubmitTimeout(5*time.Second),
-		PoolRetry(RetryPolicy{Attempts: 2, Base: time.Millisecond, Cap: time.Millisecond}))
-
-	specs := fleetSpecs(6)
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.RunAll(specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("RunAll with a wedged member: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunAll hung on the wedged member despite the submit timeout")
-	}
-	if got := ra.Metrics().Simulated; got != 0 {
-		t.Errorf("wedged member simulated %d runs", got)
-	}
-	if got, want := rb.Metrics().Simulated, uint64(uniqueKeys(specs)); got != want {
-		t.Errorf("survivor simulated %d runs, want %d", got, want)
-	}
-}
-
 // With every backend down the pool finishes the sweep on the local
 // fallback Runner instead of failing it.
 func TestPoolFallsBackToLocalRunner(t *testing.T) {
@@ -329,39 +292,46 @@ func TestPoolRefusesOpaqueSpecs(t *testing.T) {
 	}
 }
 
-// The Pool is a faithful sim.Backend: records accumulated through a fleet
-// match a local Runner's key-for-key with identical stats — the property
-// behind byte-identical -json artifacts.
+// The Pool is a faithful sim.Backend, with one member (a single -remote URL)
+// or several: records accumulated through the fleet match a local Runner's
+// key-for-key with identical stats — the property behind byte-identical
+// -json artifacts.
 func TestPoolMatchesLocalBackend(t *testing.T) {
-	a, _, _ := newFleetMember(t)
-	b, _, _ := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolChunk(1))
-	local := sim.NewRunner()
+	for _, members := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-member", members), func(t *testing.T) {
+			servers := make([]*httptest.Server, members)
+			for i := range servers {
+				servers[i], _, _ = newFleetMember(t)
+			}
+			pool := newTestPool(t, servers, PoolChunk(1))
+			local := sim.NewRunner()
 
-	specs := testSpecs()
-	if _, err := pool.RunAll(specs); err != nil {
-		t.Fatal(err)
-	}
-	// A repeated submission must not duplicate pool-side records.
-	if _, err := pool.RunAll(specs[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := local.RunAll(specs); err != nil {
-		t.Fatal(err)
-	}
-	poolRes, localRes := pool.Results(), local.Results()
-	if len(poolRes) != len(localRes) {
-		t.Fatalf("pool recorded %d unique runs, local %d", len(poolRes), len(localRes))
-	}
-	for i := range poolRes {
-		if poolRes[i].Key != localRes[i].Key {
-			t.Errorf("record %d: pool key %s, local key %s", i, poolRes[i].Key, localRes[i].Key)
-		}
-		ps, _ := json.Marshal(poolRes[i].Stats)
-		ls, _ := json.Marshal(localRes[i].Stats)
-		if string(ps) != string(ls) {
-			t.Errorf("record %d (%s): pool and local stats diverge", i, poolRes[i].Key)
-		}
+			specs := testSpecs()
+			if _, err := pool.RunAll(specs); err != nil {
+				t.Fatal(err)
+			}
+			// A repeated submission must not duplicate pool-side records.
+			if _, err := pool.RunAll(specs[:1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := local.RunAll(specs); err != nil {
+				t.Fatal(err)
+			}
+			poolRes, localRes := pool.Results(), local.Results()
+			if len(poolRes) != len(localRes) {
+				t.Fatalf("pool recorded %d unique runs, local %d", len(poolRes), len(localRes))
+			}
+			for i := range poolRes {
+				if poolRes[i].Key != localRes[i].Key {
+					t.Errorf("record %d: pool key %s, local key %s", i, poolRes[i].Key, localRes[i].Key)
+				}
+				ps, _ := json.Marshal(poolRes[i].Stats)
+				ls, _ := json.Marshal(localRes[i].Stats)
+				if string(ps) != string(ls) {
+					t.Errorf("record %d (%s): pool and local stats diverge", i, poolRes[i].Key)
+				}
+			}
+		})
 	}
 }
 

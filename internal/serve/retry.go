@@ -106,8 +106,8 @@ var DefaultRetry = RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Cap: 2
 
 // Do runs op, retrying transient failures (see Transient) with capped
 // exponential backoff. The backoff wait selects on ctx, so canceling the
-// context (operator ^C, a work-stealing race resolved elsewhere) interrupts
-// a sleeping retry ladder instead of letting it finish the nap first. It
+// context (operator ^C) interrupts a sleeping retry ladder instead of
+// letting it finish the nap first. It
 // returns nil on success, the error unchanged when it is permanent, ctx's
 // error when canceled mid-backoff, and the last error wrapped with the
 // attempt count when the budget is exhausted — so "retries exhausted" is

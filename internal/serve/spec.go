@@ -1,11 +1,12 @@
 // Package serve exposes the run-orchestration layer (internal/sim) over
 // HTTP: a Server wrapping one process-wide sim.Runner + sim.Store that many
-// clients hit concurrently, a Client implementing sim.Backend against one
-// such daemon, and a Pool federating a fleet of daemons (content-key
-// rendezvous routing, chunked retrying submissions, health tracking, local
+// clients hit concurrently, a Client speaking the wire protocol to one such
+// daemon, and a Pool — the one remote sim.Backend — federating a fleet of
+// daemons over per-member Clients (content-key rendezvous routing, chunked
+// retrying submissions, health tracking, membership refresh, local
 // failover). cmd/dkipd is the daemon binary; cmd/experiments -remote drives
-// the whole experiment registry through a Client (one URL) or a Pool
-// (comma-separated URLs).
+// the whole experiment registry through a Pool, a single URL being a
+// one-seed fleet.
 //
 // The wire protocol (all JSON):
 //

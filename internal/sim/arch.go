@@ -94,10 +94,10 @@ func init() {
 	}
 }
 
-// desc resolves an Arch to its registered engine. Unknown Arch values keep
-// the historical behavior of dispatching to the out-of-order engine (specs
-// are code; an unregistered value is a programming error surfaced by
-// String's arch(N) rendering, not a crash site).
+// desc resolves an Arch to its registered engine. Validate rejects specs
+// with an unregistered Arch; for such a spec desc falls back to the
+// out-of-order engine so Label and ConfigName can still render it in the
+// error path instead of crashing.
 func desc(a Arch) *archDesc {
 	if d, ok := archByID[a]; ok {
 		return d

@@ -194,9 +194,12 @@ func (s RunSpec) Portable() bool {
 	return !hasOpaqueFields(raw)
 }
 
-// Validate reports spec errors: unknown workload, empty scale, or an invalid
-// engine configuration.
+// Validate reports spec errors: unregistered architecture, unknown workload,
+// empty scale, or an invalid engine configuration.
 func (s RunSpec) Validate() error {
+	if _, ok := archByID[s.Arch]; !ok {
+		return fmt.Errorf("sim: unregistered arch %s", s.Arch)
+	}
 	if _, ok := workload.Lookup(s.Bench); !ok {
 		return fmt.Errorf("sim: unknown benchmark %q", s.Bench)
 	}

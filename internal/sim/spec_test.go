@@ -117,6 +117,14 @@ func TestValidate(t *testing.T) {
 	if err := OOOSpec("swim", ooo.Config{}, 1000, 4000).Validate(); err == nil {
 		t.Error("ooo config without a ROB size accepted")
 	}
+	// An unregistered Arch is rejected by name before its machine is read,
+	// whether or not the configuration it carries would validate.
+	for _, cfg := range []ooo.Config{ooo.R10K64(), {}} {
+		spec := RunSpec{Arch: Arch(7), OOO: cfg, Bench: "swim", Measure: 1000}
+		if err := spec.Validate(); err == nil || err.Error() != "sim: unregistered arch arch(7)" {
+			t.Errorf("unregistered arch with %q config: err = %v, want sim: unregistered arch arch(7)", cfg.Name, err)
+		}
+	}
 }
 
 func TestConfigNameAndLabel(t *testing.T) {
